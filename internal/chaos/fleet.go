@@ -27,8 +27,8 @@ const (
 	NodeKill FleetEventKind = iota
 	// HeartbeatLoss suppresses a node's heartbeats for the event's
 	// duration while it keeps serving draws: the controller must
-	// suspect it (steering new placement away) without the data plane
-	// ever failing a request, and readmit it when beats resume.
+	// suspect it (pulling it from the endpoint list) without the data
+	// plane ever failing a request, and readmit it when beats resume.
 	HeartbeatLoss
 	// SlowNode injects per-request latency for the duration,
 	// exercising client hedging and the controller's indifference to

@@ -40,10 +40,12 @@ func drillPoolOpts(seed uint64) []hybridprng.Option {
 }
 
 // recordedReq is one /bytes draw as the recorder saw it: the
-// requested size and the bytes actually written.
+// requested size, the final status (0 while still being served) and
+// the bytes actually written.
 type recordedReq struct {
-	n    int
-	body []byte
+	n      int
+	status int
+	body   []byte
 }
 
 // recorder tees every successful /bytes response a node serves, in
@@ -61,19 +63,36 @@ func (rc *recorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n, _ := strconv.Atoi(r.URL.Query().Get("n"))
+	// Reserve this request's slot before serving it: the body can
+	// reach the client before the handler returns, and the client's
+	// next request must not be recorded ahead of this one.
+	rc.mu.Lock()
+	slot := len(rc.reqs)
+	rc.reqs = append(rc.reqs, recordedReq{n: n})
+	rc.mu.Unlock()
 	tee := &teeWriter{ResponseWriter: w}
 	rc.next.ServeHTTP(tee, r)
-	if tee.status == 0 || tee.status == http.StatusOK {
-		rc.mu.Lock()
-		rc.reqs = append(rc.reqs, recordedReq{n: n, body: tee.buf.Bytes()})
-		rc.mu.Unlock()
+	status := tee.status
+	if status == 0 {
+		status = http.StatusOK
 	}
+	rc.mu.Lock()
+	rc.reqs[slot].status = status
+	rc.reqs[slot].body = tee.buf.Bytes()
+	rc.mu.Unlock()
 }
 
+// recorded returns the completed 200 responses in request order.
 func (rc *recorder) recorded() []recordedReq {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return append([]recordedReq(nil), rc.reqs...)
+	var out []recordedReq
+	for _, req := range rc.reqs {
+		if req.status == http.StatusOK {
+			out = append(out, req)
+		}
+	}
+	return out
 }
 
 type teeWriter struct {
@@ -127,17 +146,13 @@ func startDrillNode(t *testing.T, controller, id string, seed uint64, blob []byt
 	ht := httptest.NewServer(rec)
 	agent, err := fleet.NewAgent(fleet.AgentOptions{
 		Controller: controller,
-		Node: fleet.NodeInfo{
-			ID: id, URL: ht.URL,
-			CapacityWords: 64_000,
-			ResumeToken:   token,
-		},
+		Node:       fleet.NodeInfo{ID: id, URL: ht.URL, ResumeToken: token},
 		Report: func() fleet.HeartbeatReport {
 			st := pool.Stats()
 			return fleet.HeartbeatReport{
 				Shards: st.Shards, Healthy: st.Healthy,
 				Quarantined: st.Quarantined, Probation: st.Probation,
-				Retired: st.Retired, CapacityWords: 64_000,
+				Retired: st.Retired,
 			}
 		},
 		RetryWait: 5 * time.Millisecond,
@@ -176,15 +191,13 @@ func waitEndpoints(t *testing.T, ctrl *fleet.Controller, what string, cond func(
 // semantics: no drain, no deregistration); the controller must detect
 // it by missed heartbeats and steer the client off it with zero
 // failed draws. Then a survivor is drained through the controller:
-// its frozen streams move to a successor booted from the drain blob,
+// its streams move to a successor booted from the drain blob,
 // and the bytes the pair served — recorded request by request on the
 // wire — must be bitwise identical to one uninterrupted reference
-// pool serving the same request sizes. Placement invariants (exact
-// partition, no over-commit) are checked at every milestone.
+// pool serving the same request sizes. Controller invariants
+// (endpoint list, drain tickets) are checked at every milestone.
 func TestFleetChaosKillAndDrainContinuity(t *testing.T) {
 	ctrl, err := fleet.NewController(fleet.Config{
-		LogicalShards:     16,
-		StreamWords:       1_000,
 		HeartbeatInterval: 20 * time.Millisecond,
 		SuspectAfter:      100 * time.Millisecond,
 		DeadAfter:         300 * time.Millisecond,

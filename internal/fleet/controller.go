@@ -9,12 +9,9 @@ import (
 	"time"
 )
 
-// Defaults for Config fields left zero.
-const (
-	DefaultLogicalShards     = 64
-	DefaultStreamWords       = 100_000 // words/s of demand charged per logical shard
-	DefaultHeartbeatInterval = 2 * time.Second
-)
+// DefaultHeartbeatInterval is the cadence used when
+// Config.HeartbeatInterval is zero.
+const DefaultHeartbeatInterval = 2 * time.Second
 
 // ErrUnknownNode is returned for heartbeats from nodes the controller
 // has never seen (or has dropped): the agent's cue to re-register.
@@ -25,20 +22,14 @@ var ErrUnknownNode = errors.New("fleet: unknown node")
 // makes its failure-detection timelines deterministic and
 // replayable; binaries inject time.Now, tests inject a fake.
 type Config struct {
-	// LogicalShards is the size of the logical shard keyspace the
-	// controller places onto nodes (0 = DefaultLogicalShards).
-	LogicalShards uint64
-	// StreamWords is the demand, in words/second, one logical shard
-	// charges against a node's capacity (0 = DefaultStreamWords).
-	StreamWords uint64
 	// HeartbeatInterval is the cadence the controller asks agents to
 	// beat at (0 = DefaultHeartbeatInterval).
 	HeartbeatInterval time.Duration
 	// SuspectAfter is the silence that moves a node alive → suspect
 	// (0 = 3 × HeartbeatInterval).
 	SuspectAfter time.Duration
-	// DeadAfter is the silence that moves a node suspect → dead and
-	// re-places its shard ranges (0 = 10 × HeartbeatInterval).
+	// DeadAfter is the silence that moves a node suspect → dead
+	// (0 = 10 × HeartbeatInterval).
 	DeadAfter time.Duration
 	// Clock is the time source for heartbeat ages. Required: the
 	// controller refuses to default to the wall clock.
@@ -48,12 +39,6 @@ type Config struct {
 func (c Config) withDefaults() (Config, error) {
 	if c.Clock == nil {
 		return c, errors.New("fleet: Config.Clock is required (inject time.Now from the binary, a fake clock from tests)")
-	}
-	if c.LogicalShards == 0 {
-		c.LogicalShards = DefaultLogicalShards
-	}
-	if c.StreamWords == 0 {
-		c.StreamWords = DefaultStreamWords
 	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = DefaultHeartbeatInterval
@@ -77,23 +62,20 @@ type node struct {
 	state    NodeState // guarded by Controller.mu
 	lastBeat time.Time // guarded by Controller.mu
 
-	capacity uint64  // declared words/s; guarded by Controller.mu
-	healthy  int     // healthy shards from the last heartbeat; guarded by Controller.mu
-	shards   int     // pool shards from the last heartbeat (0 = not reported yet); guarded by Controller.mu
-	draining bool    // node-reported drain latch from the last heartbeat; guarded by Controller.mu
-	assigned []Range // normalized logical shard ranges; guarded by Controller.mu
+	healthy  int  // healthy shards from the last heartbeat; guarded by Controller.mu
+	shards   int  // pool shards from the last heartbeat (0 = not reported yet); guarded by Controller.mu
+	draining bool // node-reported drain latch from the last heartbeat; guarded by Controller.mu
 }
 
-// ticket freezes a draining node's ranges until a successor claims
-// them by registering with the token.
+// ticket reserves a draining node's streams for the successor that
+// registers with the token.
 type ticket struct {
 	token  string
 	nodeID string
-	ranges []Range // guarded by Controller.mu
 }
 
 // Controller is the deterministic control-plane core: registration,
-// heartbeat failure detection, capacity-aware placement and
+// heartbeat failure detection, endpoint publication and
 // stream-preserving drain bookkeeping. All methods are safe for
 // concurrent use. It never reads the wall clock, spawns no
 // goroutines and performs no I/O; the HTTP layer (Server) and the
@@ -103,7 +85,6 @@ type Controller struct {
 
 	mu       sync.Mutex
 	nodes    map[string]*node   // guarded by mu
-	pending  []Range            // unplaced logical shard ranges; guarded by mu
 	tickets  map[string]*ticket // open drain tickets by token; guarded by mu
 	drainSeq uint64             // drain ticket counter; guarded by mu
 
@@ -122,7 +103,6 @@ func NewController(cfg Config) (*Controller, error) {
 	return &Controller{
 		cfg:     cfg,
 		nodes:   make(map[string]*node),
-		pending: []Range{{0, cfg.LogicalShards}},
 		tickets: make(map[string]*ticket),
 		version: 1, // so a watcher at since=0 sees the initial (empty) list
 		wake:    make(chan struct{}),
@@ -138,31 +118,26 @@ func (c *Controller) Config() Config { return c.cfg }
 type RegisterResult struct {
 	// HeartbeatInterval is the cadence the controller expects.
 	HeartbeatInterval time.Duration `json:"heartbeat_interval"`
-	// Claimed is the set of ranges inherited through a resume token.
-	Claimed []Range `json:"claimed,omitempty"`
 	// Warning carries non-fatal registration notes (e.g. an unknown
-	// resume token: the node is registered, but inherited nothing).
+	// resume token: the node is registered, but succeeds no one).
 	Warning string `json:"warning,omitempty"`
 }
 
 // Register admits (or refreshes) a node. Re-registering an existing
-// ID updates URL and capacity in place and keeps its assigned ranges
-// — the restart-with-state-file case. A ResumeToken claims a drain
-// ticket: the node inherits the drained node's frozen ranges up to
-// its own budget (the rest goes pending — capacity is never
-// exceeded, not even for a resume). The one refusal: a draining or
-// drained ID cannot re-register without a live drain ticket — its
-// streams belong to a successor, and serving them again would fork
-// the streams.
+// ID updates its URL in place — the restart-with-state-file case. A
+// ResumeToken claims a drain ticket: the node registers as the
+// drained node's successor, and the drained node retires. The one
+// refusal: while a node's streams are moving (or have moved) to a
+// successor — it is draining or drained, or it deregistered with its
+// drain ticket still open — its ID re-registers only with its own
+// ticket. Serving those streams again from the pre-drain state would
+// fork every stream the successor continues.
 func (c *Controller) Register(info NodeInfo) (RegisterResult, error) {
 	if info.ID == "" {
 		return RegisterResult{}, errors.New("fleet: register: empty node id")
 	}
 	if info.URL == "" {
 		return RegisterResult{}, errors.New("fleet: register: empty node url")
-	}
-	if info.CapacityWords == 0 {
-		return RegisterResult{}, fmt.Errorf("fleet: register %s: zero declared capacity", info.ID)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -174,82 +149,64 @@ func (c *Controller) Register(info NodeInfo) (RegisterResult, error) {
 		t = c.tickets[info.ResumeToken] // nil when unknown/already claimed
 	}
 	n, ok := c.nodes[info.ID]
+	var moving string // why this ID's streams belong to a successor
+	switch {
+	case ok && (n.state == StateDraining || n.state == StateDrained):
+		moving = n.state.String()
+	case !ok && c.ticketOpenForLocked(info.ID):
+		moving = "deregistered with its drain ticket open"
+	}
+	if moving != "" && (t == nil || t.nodeID != info.ID) {
+		// Almost certainly the drained process restarted against its
+		// pre-drain state file. Only the node's OWN ticket readmits it
+		// (the resumed-from-its-own-blob case): another node's live
+		// token proves nothing about THIS node's streams.
+		return RegisterResult{}, fmt.Errorf(
+			"fleet: register %s: node is %s; claim its streams with its own drain's resume token, or boot fresh under a new node ID",
+			info.ID, moving)
+	}
 	if !ok {
 		n = &node{id: info.ID}
 		c.nodes[info.ID] = n
-	} else if (n.state == StateDraining || n.state == StateDrained) && (t == nil || t.nodeID != info.ID) {
-		// This ID's streams are moving (or moved) to a successor. A
-		// re-registration without a live drain ticket is almost
-		// certainly the drained process restarted against its
-		// pre-drain state file — letting it serve would fork every
-		// stream the successor continues. Only the node's OWN ticket
-		// readmits it (the resumed-from-its-own-blob case): another
-		// node's live token proves nothing about THIS node's streams,
-		// and accepting it would hand over ranges whose state this
-		// node does not hold.
-		return RegisterResult{}, fmt.Errorf(
-			"fleet: register %s: node is %s; claim its streams with its own drain's resume token, or boot fresh under a new node ID",
-			info.ID, n.state)
 	}
 	n.url = info.URL
-	n.capacity = info.CapacityWords
 	n.state = StateAlive
 	n.draining = false // registration declares intent to serve
 	n.lastBeat = now
-	n.healthy, n.shards = 0, 0 // unknown until the first heartbeat; budget uses full capacity
+	n.healthy, n.shards = 0, 0 // unknown until the first heartbeat
 	if info.ResumeToken != "" {
 		if t == nil {
 			res.Warning = fmt.Sprintf("resume token %q matches no open drain ticket; registered fresh", info.ResumeToken)
 		} else {
-			res.Claimed = c.claimTicketLocked(t, n)
+			// A distinct predecessor still registered as draining
+			// retires; a claimant that IS the drained node (same ID,
+			// resumed from its own blob) simply serves again.
+			if old, ok := c.nodes[t.nodeID]; ok && old != n && old.state == StateDraining {
+				old.state = StateDrained
+			}
+			delete(c.tickets, t.token)
 		}
 	}
-	// A re-registration may have lowered the declared capacity below
-	// what the node already holds; shed back inside the new budget.
-	c.shedLocked(n)
-	c.placeLocked()
 	c.refreshEndpointsLocked()
 	return res, nil
 }
 
-// claimTicketLocked transfers a drain ticket's frozen ranges to the
-// claimant, up to the claimant's budget; any remainder goes pending.
-// The drained node (when still registered) moves to StateDrained.
-func (c *Controller) claimTicketLocked(t *ticket, n *node) []Range {
-	spare := c.spareLocked(n)
-	var claimed []Range
-	for _, r := range t.ranges {
-		if spare == 0 {
-			c.pending = append(c.pending, r)
-			continue
+// ticketOpenForLocked reports whether an open drain ticket names id.
+func (c *Controller) ticketOpenForLocked(id string) bool {
+	for _, t := range c.tickets {
+		if t.nodeID == id {
+			return true
 		}
-		take := r.Width()
-		if take > spare {
-			c.pending = append(c.pending, Range{r.Lo + spare, r.Hi})
-			take = spare
-		}
-		claimed = append(claimed, Range{r.Lo, r.Lo + take})
-		spare -= take
 	}
-	n.assigned = normalize(append(n.assigned, claimed...))
-	c.pending = normalize(c.pending)
-	// When the claimant IS the drained node (same ID, resumed from its
-	// own blob), it stays alive with its ranges back — only a distinct
-	// predecessor is retired.
-	if old, ok := c.nodes[t.nodeID]; ok && old != n && old.state == StateDraining {
-		old.state = StateDrained
-	}
-	delete(c.tickets, t.token)
-	return claimed
+	return false
 }
 
 // Heartbeat ingests a node's periodic health report. Unknown nodes
 // get ErrUnknownNode — the agent's cue to re-register. Reports that
 // cannot describe a real pool (negative counts, more healthy shards
 // than shards — curl is a documented client, so malformed input WILL
-// arrive) are rejected before anything is stored: folding one into
-// deratedLocked would inflate a node's budget past its declared
-// capacity, silently breaking the never-over-commit invariant.
+// arrive) are rejected before anything is stored, so the fleet status
+// never shows operators a pool that cannot exist.
 func (c *Controller) Heartbeat(id string, r HeartbeatReport) error {
 	if r.Healthy < 0 || r.Shards < 0 || r.Healthy > r.Shards {
 		return fmt.Errorf("fleet: heartbeat %s: impossible health report: healthy=%d shards=%d", id, r.Healthy, r.Shards)
@@ -267,58 +224,48 @@ func (c *Controller) Heartbeat(id string, r HeartbeatReport) error {
 		// Its agent may well still be beating — acknowledge the beat
 		// (an ErrUnknownNode here would read as the re-register cue
 		// and resurrect a node that must stay retired) but keep it
-		// out of placement and endpoints.
+		// out of the endpoint list.
 		n.lastBeat = now
 		return nil
 	}
 	n.lastBeat = now
 	if n.state == StateSuspect || n.state == StateDead {
 		// A dead node beating again is a resurrection: it kept its
-		// pool (we just could not hear it), so readmit it. Its ranges
-		// were re-placed at death; it simply starts from none.
+		// pool (we just could not hear it), so readmit it.
 		n.state = StateAlive
-	}
-	if r.CapacityWords > 0 {
-		n.capacity = r.CapacityWords
 	}
 	if r.Shards > 0 {
 		n.healthy, n.shards = r.Healthy, r.Shards
 	}
 	n.draining = r.Draining
 	c.advanceLocked(now)
-	c.shedLocked(n)
-	c.placeLocked()
 	c.refreshEndpointsLocked()
 	return nil
 }
 
-// Deregister removes a node outright: endpoints drop it immediately
-// and its ranges are re-placed on the survivors. This is randd's
-// leave-before-drain path — the controller steers clients away
-// *before* the node stops serving. An open drain ticket for the node
-// survives deregistration: the snapshot is already taken, a
-// replacement may still claim it.
+// Deregister removes a node outright: endpoints drop it immediately.
+// This is randd's leave-before-drain path — the controller steers
+// clients away *before* the node stops serving. An open drain ticket
+// for the node survives deregistration: the snapshot is already
+// taken, a replacement may still claim it, and until then the ID
+// re-registers only with that ticket.
 func (c *Controller) Deregister(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n, ok := c.nodes[id]
-	if !ok {
+	if _, ok := c.nodes[id]; !ok {
 		return ErrUnknownNode
 	}
-	c.pending = normalize(append(c.pending, n.assigned...))
 	delete(c.nodes, id)
 	c.advanceLocked(c.cfg.Clock())
-	c.placeLocked()
 	c.refreshEndpointsLocked()
 	return nil
 }
 
 // BeginDrain starts a stream-preserving drain: the node leaves the
-// endpoint list, its ranges freeze into a drain ticket, and the
-// returned ticket's token is what a successor presents at
-// registration to inherit them. The caller is responsible for the
-// data plane (fetch the node's snapshot, boot the successor from
-// it); AbortDrain undoes everything if that fails.
+// endpoint list, and the returned ticket's token is what a successor
+// presents at registration to take over its streams. The caller is
+// responsible for the data plane (fetch the node's snapshot, boot the
+// successor from it); AbortDrain undoes everything if that fails.
 func (c *Controller) BeginDrain(id string) (TicketStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -330,20 +277,15 @@ func (c *Controller) BeginDrain(id string) (TicketStatus, error) {
 		return TicketStatus{}, fmt.Errorf("fleet: drain %s: node is %s", id, n.state)
 	}
 	c.drainSeq++
-	t := &ticket{
-		token:  fmt.Sprintf("drain-%s-%d", id, c.drainSeq),
-		nodeID: id,
-		ranges: n.assigned,
-	}
-	n.assigned = nil
+	t := &ticket{token: fmt.Sprintf("drain-%s-%d", id, c.drainSeq), nodeID: id}
 	n.state = StateDraining
 	c.tickets[t.token] = t
 	c.refreshEndpointsLocked()
-	return TicketStatus{Token: t.token, NodeID: id, Ranges: t.ranges}, nil
+	return TicketStatus{Token: t.token, NodeID: id}, nil
 }
 
-// AbortDrain cancels an unclaimed drain ticket: the ranges return to
-// the node and it rejoins the endpoint list.
+// AbortDrain cancels an unclaimed drain ticket: the node, if still
+// draining, rejoins the endpoint list.
 func (c *Controller) AbortDrain(token string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -353,15 +295,8 @@ func (c *Controller) AbortDrain(token string) error {
 	}
 	delete(c.tickets, token)
 	if n, ok := c.nodes[t.nodeID]; ok && n.state == StateDraining {
-		n.assigned = normalize(append(n.assigned, t.ranges...))
 		n.state = StateAlive
-		// The node may have degraded while draining (heartbeats keep
-		// flowing); shed back inside whatever its budget is now.
-		c.shedLocked(n)
-	} else {
-		c.pending = normalize(append(c.pending, t.ranges...))
 	}
-	c.placeLocked()
 	c.refreshEndpointsLocked()
 	return nil
 }
@@ -385,20 +320,18 @@ func (c *Controller) Advance() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.advanceLocked(c.cfg.Clock())
-	c.placeLocked()
 	c.refreshEndpointsLocked()
 }
 
 // advanceLocked applies the missed-heartbeat state machine:
 // alive → suspect after SuspectAfter of silence, suspect → dead
-// after DeadAfter; death re-places the node's ranges. One guardrail:
-// when *every* registered serving node has gone silent at once, the
-// far more likely failure is the controller's own network partition,
-// not a simultaneous whole-fleet death — so the sweep freezes
-// (endpoints keep their last-known value, nobody is demoted) until
-// any heartbeat gets through again. Mass-evicting the whole endpoint
-// list on a controller-side partition would turn a control-plane
-// blip into a data-plane outage.
+// after DeadAfter. One guardrail: when *every* registered serving
+// node has gone silent at once, the far more likely failure is the
+// controller's own network partition, not a simultaneous whole-fleet
+// death — so the sweep freezes (endpoints keep their last-known
+// value, nobody is demoted) until any heartbeat gets through again.
+// Mass-evicting the whole endpoint list on a controller-side
+// partition would turn a control-plane blip into a data-plane outage.
 func (c *Controller) advanceLocked(now time.Time) {
 	serving, silent := 0, 0
 	for _, n := range c.nodes {
@@ -424,17 +357,16 @@ func (c *Controller) advanceLocked(now time.Time) {
 		case StateSuspect:
 			if age >= c.cfg.DeadAfter {
 				n.state = StateDead
-				c.pending = normalize(append(c.pending, n.assigned...))
-				n.assigned = nil
 			}
 		}
 	}
 }
 
 // Endpoints returns the current endpoint list and its version. The
-// list contains exactly the alive nodes' URLs, sorted by node ID;
-// suspect, dead, draining and drained nodes are excluded so clients
-// steer away the moment the controller doubts a node.
+// list contains exactly the alive nodes' URLs, sorted by node ID,
+// minus any node whose heartbeat reports a drain latch; suspect,
+// dead, draining and drained nodes are excluded so clients steer away
+// the moment the controller doubts a node.
 func (c *Controller) Endpoints() (uint64, []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -516,12 +448,8 @@ func (c *Controller) Status() Status {
 	c.advanceLocked(c.cfg.Clock())
 	c.refreshEndpointsLocked()
 	st := Status{
-		LogicalShards:    c.cfg.LogicalShards,
-		StreamWords:      c.cfg.StreamWords,
 		EndpointsVersion: c.version,
 		Endpoints:        append([]string(nil), c.endpoints...),
-		Pending:          append([]Range(nil), c.pending...),
-		PendingWidth:     width(c.pending),
 		Partitioned:      c.partitioned,
 	}
 	ids := make([]string, 0, len(c.nodes))
@@ -532,18 +460,13 @@ func (c *Controller) Status() Status {
 	for _, id := range ids {
 		n := c.nodes[id]
 		st.Nodes = append(st.Nodes, NodeStatus{
-			ID:            n.id,
-			URL:           n.url,
-			State:         n.state.String(),
-			CapacityWords: n.capacity,
-			DeratedWords:  c.deratedLocked(n),
-			BudgetStreams: c.budgetLocked(n),
-			Assigned:      append([]Range(nil), n.assigned...),
-			AssignedWidth: width(n.assigned),
-			Healthy:       n.healthy,
-			Shards:        n.shards,
-			Draining:      n.draining,
-			LastBeat:      n.lastBeat,
+			ID:       n.id,
+			URL:      n.url,
+			State:    n.state.String(),
+			Healthy:  n.healthy,
+			Shards:   n.shards,
+			Draining: n.draining,
+			LastBeat: n.lastBeat,
 		})
 	}
 	tokens := make([]string, 0, len(c.tickets))
@@ -552,50 +475,40 @@ func (c *Controller) Status() Status {
 	}
 	sort.Strings(tokens)
 	for _, tok := range tokens {
-		t := c.tickets[tok]
-		st.Tickets = append(st.Tickets, TicketStatus{
-			Token:  t.token,
-			NodeID: t.nodeID,
-			Ranges: append([]Range(nil), t.ranges...),
-		})
+		st.Tickets = append(st.Tickets, TicketStatus{Token: tok, NodeID: c.tickets[tok].nodeID})
 	}
 	return st
 }
 
-// CheckInvariants verifies the two safety properties the control
-// plane promises: (1) the assigned, pending and drain-ticket ranges
-// form an exact, alias-free partition of [0, LogicalShards) — no
-// logical shard is ever served twice or lost; (2) no node holds more
-// logical shards than its current derated budget covers — placement
-// never over-commits declared capacity. Tests call this after every
-// mutation; it returns the first violation.
+// CheckInvariants verifies the safety properties the control plane
+// promises: (1) the published endpoint list is exactly the alive,
+// non-latched nodes' URLs in node-ID order — so no draining or
+// drained node, whose streams belong to a successor, is ever
+// published; (2) every open drain ticket names a node that is either
+// absent or draining, so a ticket never coexists with its node
+// serving. Tests call this after every mutation; it returns the first
+// violation.
 func (c *Controller) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var all []Range
-	all = append(all, c.pending...)
-	for _, n := range c.nodes {
-		all = append(all, n.assigned...)
-		if w, b := width(n.assigned), c.budgetLocked(n); w > b {
-			return fmt.Errorf("fleet: node %s over-committed: %d streams assigned, budget %d", n.id, w, b)
+	ids := make([]string, 0, len(c.nodes))
+	for id := range c.nodes {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	want := []string{}
+	for _, id := range ids {
+		if n := c.nodes[id]; n.state == StateAlive && !n.draining {
+			want = append(want, n.url)
 		}
+	}
+	if !slicesEqual(want, c.endpoints) {
+		return fmt.Errorf("fleet: endpoint list %v, want alive non-latched nodes %v", c.endpoints, want)
 	}
 	for _, t := range c.tickets {
-		all = append(all, t.ranges...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Lo < all[j].Lo })
-	var total uint64
-	for i, r := range all {
-		if r.Hi <= r.Lo {
-			return fmt.Errorf("fleet: empty or inverted range %v", r)
+		if n, ok := c.nodes[t.nodeID]; ok && n.state != StateDraining {
+			return fmt.Errorf("fleet: ticket %s open while node %s is %s", t.token, n.id, n.state)
 		}
-		if i > 0 && r.Lo < all[i-1].Hi {
-			return fmt.Errorf("fleet: aliased ranges %v and %v", all[i-1], r)
-		}
-		total += r.Width()
-	}
-	if total != c.cfg.LogicalShards {
-		return fmt.Errorf("fleet: ranges cover %d of %d logical shards", total, c.cfg.LogicalShards)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -33,21 +35,18 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.t = f.t.Add(d)
 }
 
-// testConfig is the shared controller shape: 64 logical shards, one
-// stream per 1000 words/s of capacity, 1 s heartbeats (suspect at
-// 3 s, dead at 10 s).
+// testConfig is the shared controller shape: 1 s heartbeats (suspect
+// at 3 s, dead at 10 s).
 func testConfig(clk *fakeClock) Config {
 	return Config{
-		LogicalShards:     64,
-		StreamWords:       1000,
 		HeartbeatInterval: time.Second,
 		Clock:             clk.Now,
 	}
 }
 
-func mustRegister(t *testing.T, c *Controller, id, url string, capacity uint64) RegisterResult {
+func mustRegister(t *testing.T, c *Controller, id, url string) RegisterResult {
 	t.Helper()
-	res, err := c.Register(NodeInfo{ID: id, URL: url, CapacityWords: capacity})
+	res, err := c.Register(NodeInfo{ID: id, URL: url})
 	if err != nil {
 		t.Fatalf("register %s: %v", id, err)
 	}
@@ -78,16 +77,15 @@ func healthyBeat(shards int) HeartbeatReport {
 
 // TestControllerStateMachine walks one node through
 // alive → suspect → dead on missed heartbeats, then resurrects it,
-// checking the endpoint list and range bookkeeping at every
-// transition.
+// checking the endpoint list at every transition.
 func TestControllerStateMachine(t *testing.T) {
 	clk := newFakeClock()
 	c, err := NewController(testConfig(clk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustRegister(t, c, "a", "http://a", 64_000)
-	mustRegister(t, c, "b", "http://b", 64_000)
+	mustRegister(t, c, "a", "http://a")
+	mustRegister(t, c, "b", "http://b")
 	assertInvariants(t, c)
 	v0, eps := c.Endpoints()
 	if len(eps) != 2 {
@@ -106,9 +104,6 @@ func TestControllerStateMachine(t *testing.T) {
 	if got := nodeByID(t, st, "a").State; got != "dead" {
 		t.Fatalf("silent node state = %s, want dead", got)
 	}
-	if got := nodeByID(t, st, "a").AssignedWidth; got != 0 {
-		t.Fatalf("dead node still holds %d streams", got)
-	}
 	v1, eps := c.Endpoints()
 	if len(eps) != 1 || eps[0] != "http://b" {
 		t.Fatalf("endpoints after death = %v, want only b", eps)
@@ -120,9 +115,9 @@ func TestControllerStateMachine(t *testing.T) {
 	// The suspect window fires before the dead window.
 	clk2 := newFakeClock()
 	c2, _ := NewController(testConfig(clk2))
-	mustRegister(t, c2, "a", "http://a", 64_000)
+	mustRegister(t, c2, "a", "http://a")
 	clk2.Advance(3 * time.Second)
-	mustRegister(t, c2, "b", "http://b", 64_000) // triggers a sweep; also ends the all-silent freeze
+	mustRegister(t, c2, "b", "http://b") // triggers a sweep; also ends the all-silent freeze
 	if got := nodeByID(t, c2.Status(), "a").State; got != "suspect" {
 		t.Fatalf("after SuspectAfter: state = %s, want suspect", got)
 	}
@@ -134,9 +129,8 @@ func TestControllerStateMachine(t *testing.T) {
 		t.Fatalf("after heartbeat: state = %s, want alive", got)
 	}
 
-	// Resurrection: a dead node that beats again rejoins with no
-	// ranges (they were re-placed) and earns new ones as capacity
-	// allows.
+	// Resurrection: a dead node that beats again kept its pool and
+	// rejoins the endpoint list.
 	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
 		t.Fatalf("dead node heartbeat: %v", err)
 	}
@@ -166,9 +160,9 @@ func TestControllerUnknownHeartbeat(t *testing.T) {
 func TestControllerPartitionFreeze(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
-	mustRegister(t, c, "b", "http://b", 64_000)
-	mustRegister(t, c, "c", "http://c", 64_000)
+	mustRegister(t, c, "a", "http://a")
+	mustRegister(t, c, "b", "http://b")
+	mustRegister(t, c, "c", "http://c")
 	_, eps0 := c.Endpoints()
 
 	// Total silence, far past DeadAfter.
@@ -205,75 +199,24 @@ func TestControllerPartitionFreeze(t *testing.T) {
 	assertInvariants(t, c)
 }
 
-// TestControllerDegradedHeartbeatSheds: a heartbeat reporting pool
-// degradation derates the node's budget and the excess ranges move
-// off it — the over-commit invariant holds *through* the
-// degradation, not just at placement.
-func TestControllerDegradedHeartbeatSheds(t *testing.T) {
-	clk := newFakeClock()
-	c, _ := NewController(testConfig(clk))
-	// a can host the whole keyspace; b is the spill target.
-	mustRegister(t, c, "a", "http://a", 64_000)
-	mustRegister(t, c, "b", "http://b", 32_000)
-	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
-		t.Fatal(err)
-	}
-	assertInvariants(t, c)
-	full := nodeByID(t, c.Status(), "a").AssignedWidth
-
-	// Half of a's shards retire: its budget halves, the excess must
-	// land on b or go pending — never stay over-committed on a.
-	if err := c.Heartbeat("a", HeartbeatReport{Shards: 8, Healthy: 4, Retired: 4}); err != nil {
-		t.Fatal(err)
-	}
-	assertInvariants(t, c)
-	st := c.Status()
-	na, nb := nodeByID(t, st, "a"), nodeByID(t, st, "b")
-	if na.AssignedWidth > na.BudgetStreams {
-		t.Fatalf("degraded node over-committed: %d > %d", na.AssignedWidth, na.BudgetStreams)
-	}
-	if na.AssignedWidth >= full {
-		t.Fatalf("degradation did not shed: %d of %d streams still on a", na.AssignedWidth, full)
-	}
-	if nb.AssignedWidth == 0 && st.PendingWidth == 0 {
-		t.Fatal("shed streams vanished: neither re-placed nor pending")
-	}
-
-	// Recovery: full health restores the budget and the pending (or
-	// re-balanced) streams may flow back.
-	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
-		t.Fatal(err)
-	}
-	assertInvariants(t, c)
-	if st := c.Status(); st.PendingWidth != 0 {
-		t.Fatalf("pending streams after full recovery: %d", st.PendingWidth)
-	}
-}
-
-// TestControllerDrainHandoff: BeginDrain freezes the ranges in a
-// ticket and pulls the node from rotation; a successor registering
-// with the token inherits them exactly; the drained node ends
-// drained.
+// TestControllerDrainHandoff: BeginDrain opens a ticket and pulls the
+// node from rotation; a successor registering with the token consumes
+// the ticket and joins the rotation; the drained node ends drained.
 func TestControllerDrainHandoff(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
-	mustRegister(t, c, "b", "http://b", 64_000)
+	mustRegister(t, c, "a", "http://a")
+	mustRegister(t, c, "b", "http://b")
 	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
 		t.Fatal(err)
 	}
-	before := nodeByID(t, c.Status(), "a")
-	if before.AssignedWidth == 0 {
-		t.Fatal("test needs a to hold streams")
-	}
-
 	tk, err := c.BeginDrain("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertInvariants(t, c)
-	if width(tk.Ranges) != before.AssignedWidth {
-		t.Fatalf("ticket holds %d streams, node held %d", width(tk.Ranges), before.AssignedWidth)
+	if tk.NodeID != "a" || tk.Token == "" {
+		t.Fatalf("ticket %+v", tk)
 	}
 	if _, eps := c.Endpoints(); len(eps) != 1 || eps[0] != "http://b" {
 		t.Fatalf("draining node still in endpoints: %v", eps)
@@ -286,18 +229,14 @@ func TestControllerDrainHandoff(t *testing.T) {
 		t.Fatal("second BeginDrain should fail")
 	}
 
-	// The successor claims with the token and inherits every frozen
-	// range — same logical shards, no aliasing, no loss.
-	res, err := c.Register(NodeInfo{ID: "a2", URL: "http://a2", CapacityWords: 64_000, ResumeToken: tk.Token})
+	// The successor claims with the token and serves in a's place.
+	res, err := c.Register(NodeInfo{ID: "a2", URL: "http://a2", ResumeToken: tk.Token})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertInvariants(t, c)
 	if res.Warning != "" {
 		t.Fatalf("unexpected warning: %s", res.Warning)
-	}
-	if width(res.Claimed) != width(tk.Ranges) {
-		t.Fatalf("claimed %d streams, ticket held %d", width(res.Claimed), width(tk.Ranges))
 	}
 	st := c.Status()
 	if got := nodeByID(t, st, "a").State; got != "drained" {
@@ -306,13 +245,16 @@ func TestControllerDrainHandoff(t *testing.T) {
 	if len(st.Tickets) != 0 {
 		t.Fatalf("ticket not consumed: %+v", st.Tickets)
 	}
+	if len(st.Endpoints) != 2 || st.Endpoints[0] != "http://a2" || st.Endpoints[1] != "http://b" {
+		t.Fatalf("endpoints after hand-off: %v, want a2 and b", st.Endpoints)
+	}
 	// A token cannot be claimed twice.
-	res, err = c.Register(NodeInfo{ID: "a3", URL: "http://a3", CapacityWords: 64_000, ResumeToken: tk.Token})
+	res, err = c.Register(NodeInfo{ID: "a3", URL: "http://a3", ResumeToken: tk.Token})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Warning == "" || len(res.Claimed) != 0 {
-		t.Fatalf("stale token should warn and claim nothing: %+v", res)
+	if res.Warning == "" {
+		t.Fatalf("stale token should warn: %+v", res)
 	}
 }
 
@@ -325,8 +267,8 @@ func TestControllerDrainHandoff(t *testing.T) {
 func TestControllerDrainedNodeStaysRetired(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
-	mustRegister(t, c, "b", "http://b", 64_000)
+	mustRegister(t, c, "a", "http://a")
+	mustRegister(t, c, "b", "http://b")
 	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +278,11 @@ func TestControllerDrainedNodeStaysRetired(t *testing.T) {
 	}
 
 	// Mid-drain, the node cannot re-register without the ticket.
-	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000}); err == nil {
+	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a"}); err == nil {
 		t.Fatal("tokenless re-register of a draining node should fail")
 	}
 
-	if _, err := c.Register(NodeInfo{ID: "a2", URL: "http://a2", CapacityWords: 64_000, ResumeToken: tk.Token}); err != nil {
+	if _, err := c.Register(NodeInfo{ID: "a2", URL: "http://a2", ResumeToken: tk.Token}); err != nil {
 		t.Fatal(err)
 	}
 	assertInvariants(t, c)
@@ -370,10 +312,10 @@ func TestControllerDrainedNodeStaysRetired(t *testing.T) {
 
 	// Without a live ticket (the successor consumed it), neither a
 	// tokenless nor a stale-token re-register may resurrect the ID.
-	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000}); err == nil {
+	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a"}); err == nil {
 		t.Fatal("tokenless re-register of a drained node should fail")
 	}
-	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000, ResumeToken: tk.Token}); err == nil {
+	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", ResumeToken: tk.Token}); err == nil {
 		t.Fatal("stale-token re-register of a drained node should fail")
 	}
 	assertInvariants(t, c)
@@ -381,11 +323,11 @@ func TestControllerDrainedNodeStaysRetired(t *testing.T) {
 
 // TestControllerDrainSameIDResume: the successor may be the drained
 // node itself — same ID, restarted from its own drain blob with the
-// ticket. It claims its frozen ranges back and serves, alive.
+// ticket. The claim consumes the ticket and the node serves, alive.
 func TestControllerDrainSameIDResume(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
+	mustRegister(t, c, "a", "http://a")
 	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
 		t.Fatal(err)
 	}
@@ -393,59 +335,31 @@ func TestControllerDrainSameIDResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Register(NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000, ResumeToken: tk.Token})
-	if err != nil {
+	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", ResumeToken: tk.Token}); err != nil {
 		t.Fatal(err)
 	}
 	assertInvariants(t, c)
-	if width(res.Claimed) != width(tk.Ranges) {
-		t.Fatalf("claimed %d streams, ticket held %d", width(res.Claimed), width(tk.Ranges))
-	}
-	if got := nodeByID(t, c.Status(), "a").State; got != "alive" {
+	st := c.Status()
+	if got := nodeByID(t, st, "a").State; got != "alive" {
 		t.Fatalf("state = %s, want alive", got)
+	}
+	if len(st.Tickets) != 0 {
+		t.Fatalf("ticket not consumed: %+v", st.Tickets)
 	}
 	if _, eps := c.Endpoints(); len(eps) != 1 || eps[0] != "http://a" {
 		t.Fatalf("resumed node missing from endpoints: %v", eps)
 	}
 }
 
-// TestControllerDrainClaimCapacityBound: a successor too small for
-// the drained load inherits only what its budget covers; the rest
-// goes pending — a resume is not an excuse to over-commit.
-func TestControllerDrainClaimCapacityBound(t *testing.T) {
-	clk := newFakeClock()
-	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
-	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
-		t.Fatal(err)
-	}
-	tk, err := c.BeginDrain("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Register(NodeInfo{ID: "small", URL: "http://small", CapacityWords: 16_000, ResumeToken: tk.Token})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertInvariants(t, c)
-	if got := width(res.Claimed); got != 16 {
-		t.Fatalf("claimed %d streams, budget allows 16", got)
-	}
-	if st := c.Status(); st.PendingWidth != 64-16 {
-		t.Fatalf("pending = %d, want the unclaimed 48", st.PendingWidth)
-	}
-}
-
-// TestControllerAbortDrain: an aborted drain puts the node back in
-// rotation with its ranges intact.
+// TestControllerAbortDrain: an aborted drain closes the ticket and
+// puts the node back in rotation.
 func TestControllerAbortDrain(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
+	mustRegister(t, c, "a", "http://a")
 	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
 		t.Fatal(err)
 	}
-	before := nodeByID(t, c.Status(), "a").AssignedWidth
 	tk, err := c.BeginDrain("a")
 	if err != nil {
 		t.Fatal(err)
@@ -454,9 +368,9 @@ func TestControllerAbortDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertInvariants(t, c)
-	after := nodeByID(t, c.Status(), "a")
-	if after.State != "alive" || after.AssignedWidth != before {
-		t.Fatalf("after abort: state=%s width=%d, want alive/%d", after.State, after.AssignedWidth, before)
+	st := c.Status()
+	if got := nodeByID(t, st, "a").State; got != "alive" || len(st.Tickets) != 0 {
+		t.Fatalf("after abort: state=%s tickets=%+v, want alive and none", got, st.Tickets)
 	}
 	if _, eps := c.Endpoints(); len(eps) != 1 {
 		t.Fatalf("endpoints after abort: %v", eps)
@@ -467,12 +381,12 @@ func TestControllerAbortDrain(t *testing.T) {
 }
 
 // TestControllerDeregister: a deregistering node leaves the endpoint
-// list at once and its streams land elsewhere.
+// list and the node table at once.
 func TestControllerDeregister(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
-	mustRegister(t, c, "b", "http://b", 64_000)
+	mustRegister(t, c, "a", "http://a")
+	mustRegister(t, c, "b", "http://b")
 	if err := c.Deregister("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -480,9 +394,8 @@ func TestControllerDeregister(t *testing.T) {
 	if _, eps := c.Endpoints(); len(eps) != 1 || eps[0] != "http://b" {
 		t.Fatalf("endpoints after deregister: %v", eps)
 	}
-	st := c.Status()
-	if nodeByID(t, st, "b").AssignedWidth+st.PendingWidth != 64 {
-		t.Fatalf("streams lost on deregister: %+v", st)
+	if st := c.Status(); len(st.Nodes) != 1 || st.Nodes[0].ID != "b" {
+		t.Fatalf("nodes after deregister: %+v", st.Nodes)
 	}
 	if err := c.Deregister("a"); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("double deregister: %v", err)
@@ -494,7 +407,7 @@ func TestControllerDeregister(t *testing.T) {
 func TestControllerWaitEndpoints(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
+	mustRegister(t, c, "a", "http://a")
 	v, eps := c.WaitEndpoints(context.Background(), 0)
 	if len(eps) != 1 {
 		t.Fatalf("immediate wait: %v", eps)
@@ -505,7 +418,7 @@ func TestControllerWaitEndpoints(t *testing.T) {
 		_, eps := c.WaitEndpoints(context.Background(), v)
 		got <- eps
 	}()
-	mustRegister(t, c, "b", "http://b", 64_000)
+	mustRegister(t, c, "b", "http://b")
 	select {
 	case eps := <-got:
 		if len(eps) != 2 {
@@ -524,15 +437,14 @@ func TestControllerWaitEndpoints(t *testing.T) {
 	}
 }
 
-// TestControllerRegisterValidation: the three required fields are
+// TestControllerRegisterValidation: the two required fields are
 // enforced with named errors.
 func TestControllerRegisterValidation(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
 	for _, info := range []NodeInfo{
-		{URL: "http://a", CapacityWords: 1000},
-		{ID: "a", CapacityWords: 1000},
-		{ID: "a", URL: "http://a"},
+		{URL: "http://a"},
+		{ID: "a"},
 	} {
 		if _, err := c.Register(info); err == nil {
 			t.Fatalf("register %+v should fail", info)
@@ -546,13 +458,13 @@ func TestControllerRegisterValidation(t *testing.T) {
 // TestControllerDrainedRejectsForeignTicket: a draining/drained ID
 // may only re-register by presenting its OWN drain ticket. Another
 // node's live token proves nothing about this node's streams —
-// accepting it would readmit the retired ID and hand it frozen
-// ranges whose stream state it does not hold.
+// accepting it would readmit the retired ID to serve streams whose
+// state it does not hold.
 func TestControllerDrainedRejectsForeignTicket(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
-	mustRegister(t, c, "b", "http://b", 64_000)
+	mustRegister(t, c, "a", "http://a")
+	mustRegister(t, c, "b", "http://b")
 
 	tkA, err := c.BeginDrain("a")
 	if err != nil {
@@ -564,7 +476,7 @@ func TestControllerDrainedRejectsForeignTicket(t *testing.T) {
 	}
 
 	// Draining "a" presenting b's live ticket must be refused.
-	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000, ResumeToken: tkB.Token}); err == nil {
+	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", ResumeToken: tkB.Token}); err == nil {
 		t.Fatal("draining node re-registered with another node's ticket")
 	}
 	// b's ticket must still be open and claimable by a real successor.
@@ -575,31 +487,32 @@ func TestControllerDrainedRejectsForeignTicket(t *testing.T) {
 
 	// Same refusal once the predecessor is fully drained: a successor
 	// claims a's ticket, then "a" itself shows up waving b's token.
-	if _, err := c.Register(NodeInfo{ID: "a2", URL: "http://a2", CapacityWords: 64_000, ResumeToken: tkA.Token}); err != nil {
+	if _, err := c.Register(NodeInfo{ID: "a2", URL: "http://a2", ResumeToken: tkA.Token}); err != nil {
 		t.Fatal(err)
 	}
 	if got := nodeByID(t, c.Status(), "a").State; got != "drained" {
 		t.Fatalf("predecessor state %q, want drained", got)
 	}
-	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000, ResumeToken: tkB.Token}); err == nil {
+	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", ResumeToken: tkB.Token}); err == nil {
 		t.Fatal("drained node re-registered with another node's ticket")
 	}
 	// Its own ticket is the legitimate path (resumed-from-own-blob).
-	if _, err := c.Register(NodeInfo{ID: "b", URL: "http://b", CapacityWords: 64_000, ResumeToken: tkB.Token}); err != nil {
+	if _, err := c.Register(NodeInfo{ID: "b", URL: "http://b", ResumeToken: tkB.Token}); err != nil {
 		t.Fatalf("own-ticket re-registration refused: %v", err)
 	}
 	assertInvariants(t, c)
 }
 
 // TestControllerHeartbeatRejectsImpossibleHealth: reports that cannot
-// describe a real pool are rejected before they reach the budget
-// math — a negative Healthy converts to a huge uint64 and
-// Healthy > Shards derates capacity ABOVE the declared value, both
-// silently breaking the never-over-commit invariant.
+// describe a real pool (negative counts, more healthy shards than
+// shards) are rejected before anything is stored, so the fleet status
+// never shows operators a pool that cannot exist. A degraded but
+// possible report lands as-is and keeps the node serving: the client
+// SDK, not the controller, steers around a degraded pool.
 func TestControllerHeartbeatRejectsImpossibleHealth(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
+	mustRegister(t, c, "a", "http://a")
 
 	for _, r := range []HeartbeatReport{
 		{Shards: 8, Healthy: -1},
@@ -610,20 +523,23 @@ func TestControllerHeartbeatRejectsImpossibleHealth(t *testing.T) {
 			t.Fatalf("impossible report %+v accepted", r)
 		}
 	}
-	// Nothing was stored: the node still rates its full declared
-	// capacity, not an inflated one.
+	// Nothing was stored.
 	n := nodeByID(t, c.Status(), "a")
 	if n.Healthy != 0 || n.Shards != 0 {
 		t.Fatalf("rejected report leaked into state: %+v", n)
 	}
-	if n.DeratedWords > n.CapacityWords {
-		t.Fatalf("derated %d exceeds declared %d", n.DeratedWords, n.CapacityWords)
-	}
-	// A sane report still lands.
-	if err := c.Heartbeat("a", healthyBeat(8)); err != nil {
+	// A degraded but possible report lands and the node keeps serving.
+	if err := c.Heartbeat("a", HeartbeatReport{Shards: 8, Healthy: 4, Retired: 4}); err != nil {
 		t.Fatal(err)
 	}
 	assertInvariants(t, c)
+	st := c.Status()
+	if n := nodeByID(t, st, "a"); n.Healthy != 4 || n.Shards != 8 || n.State != "alive" {
+		t.Fatalf("degraded report not surfaced: %+v", n)
+	}
+	if len(st.Endpoints) != 1 || st.Endpoints[0] != "http://a" {
+		t.Fatalf("degraded node left the endpoint list: %v", st.Endpoints)
+	}
 }
 
 // TestControllerHeartbeatDrainingExcludesFromEndpoints: an alive node
@@ -632,8 +548,8 @@ func TestControllerHeartbeatRejectsImpossibleHealth(t *testing.T) {
 func TestControllerHeartbeatDrainingExcludesFromEndpoints(t *testing.T) {
 	clk := newFakeClock()
 	c, _ := NewController(testConfig(clk))
-	mustRegister(t, c, "a", "http://a", 64_000)
-	mustRegister(t, c, "b", "http://b", 64_000)
+	mustRegister(t, c, "a", "http://a")
+	mustRegister(t, c, "b", "http://b")
 
 	r := healthyBeat(8)
 	r.Draining = true
@@ -655,4 +571,183 @@ func TestControllerHeartbeatDrainingExcludesFromEndpoints(t *testing.T) {
 		t.Fatalf("endpoints after latch cleared: %v, want both", eps)
 	}
 	assertInvariants(t, c)
+}
+
+// TestControllerDeregisterMidDrainKeepsTicketRule: a draining node
+// that deregisters (randd's SIGTERM path) leaves its ticket open, and
+// its ID stays reserved for that ticket: a tokenless re-registration
+// is the drained process restarting from its pre-drain state and is
+// refused; the node's own token readmits it.
+func TestControllerDeregisterMidDrainKeepsTicketRule(t *testing.T) {
+	clk := newFakeClock()
+	c, _ := NewController(testConfig(clk))
+	mustRegister(t, c, "a", "http://a")
+	tk, err := c.BeginDrain("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Deregister("a"); err != nil {
+		t.Fatal(err)
+	}
+	assertInvariants(t, c)
+	if st := c.Status(); len(st.Tickets) != 1 {
+		t.Fatalf("ticket did not survive deregistration: %+v", st.Tickets)
+	}
+	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a"}); err == nil {
+		t.Fatal("tokenless re-register of a node deregistered mid-drain should fail")
+	}
+	assertInvariants(t, c)
+	if _, err := c.Register(NodeInfo{ID: "a", URL: "http://a", ResumeToken: tk.Token}); err != nil {
+		t.Fatalf("own-ticket re-registration refused: %v", err)
+	}
+	assertInvariants(t, c)
+	if _, eps := c.Endpoints(); len(eps) != 1 || eps[0] != "http://a" {
+		t.Fatalf("endpoints after own-ticket claim: %v", eps)
+	}
+}
+
+// TestPlacementDeterministic: two controllers fed the same event
+// sequence on the same clock place consumers identically — the same
+// node states, endpoint list, version and tickets. No decision
+// depends on map order or the wall clock.
+func TestPlacementDeterministic(t *testing.T) {
+	run := func() string {
+		clk := newFakeClock()
+		c, _ := NewController(testConfig(clk))
+		mustRegister(t, c, "n3", "http://n3")
+		mustRegister(t, c, "n1", "http://n1")
+		mustRegister(t, c, "n2", "http://n2")
+		mustRegister(t, c, "n4", "http://n4")
+		clk.Advance(time.Second)
+		if err := c.Heartbeat("n2", HeartbeatReport{Shards: 8, Healthy: 5}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Heartbeat("n4", healthyBeat(8)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.BeginDrain("n4"); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(4 * time.Second) // n1, n3 turn suspect
+		c.Advance()
+		return fmt.Sprintf("%+v", c.Status())
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("controller decisions diverged:\n%s\n%s", a, b)
+	}
+}
+
+// TestPlacementPropertyNeverOverCommits drives random fleets through
+// random register / re-register / heartbeat (degraded, impossible and
+// latched reports included) / deregister / drain / abort / claim /
+// clock sequences and checks, after every single event, that no
+// node's streams are ever committed to two places at once: the
+// endpoint list is exactly the alive, non-latched nodes in ID order,
+// every open drain ticket's node is absent or draining, and a drained
+// node is never published. This is the fleet-level version of the
+// pool's recovery-invariant tests: the safety property must hold on
+// every path, not just the happy one.
+func TestPlacementPropertyNeverOverCommits(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(seed, 0xf1ee7^seed))
+			clk := newFakeClock()
+			c, err := NewController(testConfig(clk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ids []string           // every ID ever issued
+			var tickets []TicketStatus // every ticket ever issued
+			register := func(info NodeInfo) {
+				t.Helper()
+				res, err := c.Register(info)
+				if err != nil {
+					if !strings.Contains(err.Error(), "resume token") {
+						t.Fatalf("register %+v: %v", info, err)
+					}
+					return
+				}
+				if info.ResumeToken == "" || res.Warning != "" {
+					return
+				}
+				// A successful claim by another node retires the
+				// predecessor for good.
+				for _, tk := range tickets {
+					if tk.Token != info.ResumeToken || tk.NodeID == info.ID {
+						continue
+					}
+					for _, n := range c.Status().Nodes {
+						if n.ID == tk.NodeID && n.State != "drained" {
+							t.Fatalf("%s claimed %s, but predecessor %s is %s", info.ID, tk.Token, n.ID, n.State)
+						}
+					}
+				}
+			}
+			fresh := func() string {
+				id := fmt.Sprintf("n%d", len(ids)+1)
+				ids = append(ids, id)
+				return id
+			}
+			for step := 0; step < 300; step++ {
+				var id, tok string
+				if len(ids) > 0 {
+					id = ids[rng.IntN(len(ids))]
+				}
+				if len(tickets) > 0 {
+					tok = tickets[rng.IntN(len(tickets))].Token
+				}
+				switch op := rng.IntN(11); {
+				case op == 0 || id == "": // register a fresh node
+					id := fresh()
+					register(NodeInfo{ID: id, URL: "http://" + id})
+				case op == 1: // re-register a known (maybe absent, draining or drained) ID
+					register(NodeInfo{ID: id, URL: "http://" + id})
+				case op <= 3: // heartbeat: healthy, degraded, impossible or latched
+					shards := 1 + rng.IntN(16)
+					hb := HeartbeatReport{Shards: shards, Healthy: rng.IntN(shards + 1)}
+					impossible := rng.IntN(8) == 0
+					if impossible {
+						hb.Healthy = shards + 1
+					}
+					hb.Draining = rng.IntN(6) == 0
+					err := c.Heartbeat(id, hb)
+					if impossible != (err != nil && err != ErrUnknownNode) {
+						t.Fatalf("heartbeat %s %+v: %v", id, hb, err)
+					}
+				case op == 4: // deregister
+					if err := c.Deregister(id); err != nil && err != ErrUnknownNode {
+						t.Fatal(err)
+					}
+				case op == 5: // begin a drain
+					if tk, err := c.BeginDrain(id); err == nil {
+						tickets = append(tickets, tk)
+					}
+				case op == 6 && tok != "": // abort (already claimed or aborted is fine)
+					_ = c.AbortDrain(tok)
+				case op == 7 && tok != "": // a fresh successor claims
+					id := fresh()
+					register(NodeInfo{ID: id, URL: "http://" + id, ResumeToken: tok})
+				case op == 8 && tok != "": // a known ID claims (its own ticket, or a foreign one)
+					register(NodeInfo{ID: id, URL: "http://" + id, ResumeToken: tok})
+				default: // time passes; the sweep kills whoever aged out
+					clk.Advance(time.Duration(rng.IntN(2500)) * time.Millisecond)
+					c.Advance()
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				st := c.Status()
+				published := map[string]bool{}
+				for _, ep := range st.Endpoints {
+					published[ep] = true
+				}
+				for _, n := range st.Nodes {
+					if n.State == "drained" && published[n.URL] {
+						t.Fatalf("step %d: drained node %s published in %v", step, n.ID, st.Endpoints)
+					}
+				}
+			}
+		})
+	}
 }

@@ -56,12 +56,12 @@ func TestServerRegisterHeartbeatEndpoints(t *testing.T) {
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 
 	res := postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: "http://a"})
 	if res.HeartbeatInterval != time.Second {
 		t.Fatalf("assigned interval %v, want 1s", res.HeartbeatInterval)
 	}
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "b", URL: "http://b", CapacityWords: 64_000})
+		NodeInfo{ID: "b", URL: "http://b"})
 
 	var er EndpointsResponse
 	resp, err := http.Get(srv.URL + "/v1/endpoints")
@@ -95,7 +95,7 @@ func TestServerRegisterHeartbeatEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.LogicalShards != 64 || len(st.Nodes) != 2 {
+	if len(st.Nodes) != 2 || len(st.Endpoints) != 1 {
 		t.Fatalf("fleet status %+v", st)
 	}
 }
@@ -122,7 +122,7 @@ func TestServerEndpointsLongPoll(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: "http://a", CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: "http://a"})
 	v, _ := ctrl.Endpoints()
 
 	got := make(chan EndpointsResponse, 1)
@@ -141,7 +141,7 @@ func TestServerEndpointsLongPoll(t *testing.T) {
 	// Let the long-poll park, then change the fleet.
 	time.Sleep(20 * time.Millisecond)
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "b", URL: "http://b", CapacityWords: 64_000})
+		NodeInfo{ID: "b", URL: "http://b"})
 	select {
 	case er := <-got:
 		if er.Version <= v || len(er.Endpoints) != 2 {
@@ -155,7 +155,7 @@ func TestServerEndpointsLongPoll(t *testing.T) {
 // TestServerDrainOrchestration: POST /v1/drain freezes the node,
 // pulls its snapshot blob through the node's own /drain endpoint, and
 // relays blob + resume token; a successor registering with the token
-// inherits the ranges.
+// consumes the ticket and retires the drained node.
 func TestServerDrainOrchestration(t *testing.T) {
 	blob := []byte("pool-state-blob-0123456789")
 	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -170,7 +170,7 @@ func TestServerDrainOrchestration(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: node.URL, CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: node.URL})
 
 	resp, err := http.Post(srv.URL+"/v1/drain?id=a", "", nil)
 	if err != nil {
@@ -197,14 +197,18 @@ func TestServerDrainOrchestration(t *testing.T) {
 	}
 
 	// The drained node left the rotation; the successor claims its
-	// ranges with the token.
+	// streams with the token.
 	if _, eps := ctrl.Endpoints(); len(eps) != 0 {
 		t.Fatalf("drained node still serving: %v", eps)
 	}
 	res := postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a2", URL: "http://a2", CapacityWords: 64_000, ResumeToken: token})
-	if len(res.Claimed) == 0 {
-		t.Fatalf("successor claimed nothing: %+v", res)
+		NodeInfo{ID: "a2", URL: "http://a2", ResumeToken: token})
+	if res.Warning != "" {
+		t.Fatalf("successor's claim warned: %+v", res)
+	}
+	st := ctrl.Status()
+	if len(st.Tickets) != 0 || len(st.Endpoints) != 1 || st.Endpoints[0] != "http://a2" {
+		t.Fatalf("after claim: tickets %+v endpoints %v, want none and just a2", st.Tickets, st.Endpoints)
 	}
 	if err := ctrl.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -222,7 +226,7 @@ func TestServerDrainAbortsOnNodeFailure(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: node.URL, CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: node.URL})
 
 	resp, err := http.Post(srv.URL+"/v1/drain?id=a", "", nil)
 	if err != nil {
@@ -316,7 +320,7 @@ func (d *drainableNode) state() (draining bool, undrains int) {
 // commits its drain but the controller-side relay fails (body read
 // error after 200), the controller must clear the node's latch via
 // /undrain BEFORE re-admitting it — otherwise the fleet routes
-// clients and placement at a node that 503s every draw forever.
+// clients at a node that 503s every draw forever.
 func TestServerDrainRelayFailureRollsBackNodeLatch(t *testing.T) {
 	dn := &drainableNode{serve: func(w http.ResponseWriter) {
 		// Declare more body than we send: the handler's short write
@@ -331,7 +335,7 @@ func TestServerDrainRelayFailureRollsBackNodeLatch(t *testing.T) {
 	clk := newFakeClock()
 	ctrl, srv := newTestServer(t, clk, ServerOptions{})
 	postAs[RegisterResult](t, srv.URL+"/v1/register",
-		NodeInfo{ID: "a", URL: node.URL, CapacityWords: 64_000})
+		NodeInfo{ID: "a", URL: node.URL})
 
 	resp, err := http.Post(srv.URL+"/v1/drain?id=a", "", nil)
 	if err != nil {
@@ -383,7 +387,7 @@ func TestServerDrainOversizeBlobFailsLoudly(t *testing.T) {
 			clk := newFakeClock()
 			ctrl, srv := newTestServer(t, clk, ServerOptions{MaxDrainBlob: 16})
 			postAs[RegisterResult](t, srv.URL+"/v1/register",
-				NodeInfo{ID: "a", URL: node.URL, CapacityWords: 64_000})
+				NodeInfo{ID: "a", URL: node.URL})
 
 			resp, err := http.Post(srv.URL+"/v1/drain?id=a", "", nil)
 			if err != nil {
@@ -404,5 +408,38 @@ func TestServerDrainOversizeBlobFailsLoudly(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestServerAcceptsLegacyCapacityField: older randd builds declare a
+// capacity_words figure in register and heartbeat bodies. The
+// controller no longer reads it, and its decoder ignores unknown
+// fields, so an old node keeps registering and heartbeating against a
+// new controller during a rolling upgrade. (The reverse does not hold:
+// an old controller refuses a node that declares no capacity, so
+// upgrade randctl before randd.)
+func TestServerAcceptsLegacyCapacityField(t *testing.T) {
+	clk := newFakeClock()
+	ctrl, srv := newTestServer(t, clk, ServerOptions{})
+	for _, req := range []struct{ path, body string }{
+		{"/v1/register", `{"id":"a","url":"http://a","capacity_words":2000000}`},
+		{"/v1/heartbeat", `{"id":"a","shards":8,"healthy":6,"retired":2,"capacity_words":2000000}`},
+	} {
+		resp, err := http.Post(srv.URL+req.path, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s %s: %s: %s", req.path, req.body, resp.Status, msg)
+		}
+	}
+	st := ctrl.Status()
+	if n := nodeByID(t, st, "a"); n.State != "alive" || n.Healthy != 6 || n.Shards != 8 {
+		t.Fatalf("legacy node status %+v", n)
+	}
+	if len(st.Endpoints) != 1 || st.Endpoints[0] != "http://a" {
+		t.Fatalf("legacy node not published: %v", st.Endpoints)
 	}
 }

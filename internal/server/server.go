@@ -100,6 +100,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -214,7 +215,9 @@ type Server struct {
 // Options tunes a Server.
 type Options struct {
 	// MaxWords caps the per-request size of /u64 and /bytes in
-	// words; 0 means DefaultMaxWords.
+	// words; 0 means DefaultMaxWords. New refuses values above
+	// math.MaxUint64/8, where the /bytes cap (MaxWords*8 octets)
+	// would overflow.
 	MaxWords uint64
 	// StatePath, when non-empty, enables checkpointing: POST
 	// /snapshot (and the Snapshot method) atomically write the
@@ -255,6 +258,11 @@ func New(pool *hybridprng.Pool, opts Options) (*Server, error) {
 	maxWords := opts.MaxWords
 	if maxWords == 0 {
 		maxWords = DefaultMaxWords
+	}
+	if maxWords > math.MaxUint64/8 {
+		// /bytes caps requests at maxWords*8 octets; past this the
+		// product wraps and the cap silently collapses.
+		return nil, fmt.Errorf("server: MaxWords %d exceeds %d (its byte cap would overflow)", maxWords, uint64(math.MaxUint64/8))
 	}
 	maxInFlight := int64(opts.MaxInFlight)
 	if maxInFlight == 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -245,5 +246,25 @@ func TestConcurrentRequests(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, Options{}); err == nil {
 		t.Error("nil pool must fail")
+	}
+	pool, err := hybridprng.NewPool(hybridprng.WithSeed(1), hybridprng.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Past MaxUint64/8 the /bytes cap (MaxWords*8) wraps: 1<<61 would
+	// cap /bytes at 0 octets and refuse every request.
+	for _, mw := range []uint64{math.MaxUint64/8 + 1, 1 << 61, math.MaxUint64} {
+		if _, err := New(pool, Options{MaxWords: mw}); err == nil {
+			t.Errorf("MaxWords %d must fail: its byte cap overflows", mw)
+		}
+	}
+	srv, err := New(pool, Options{MaxWords: math.MaxUint64 / 8})
+	if err != nil {
+		t.Fatalf("largest representable MaxWords refused: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if code, body := get(t, ts.URL+"/bytes?n=8"); code != http.StatusOK || len(body) != 8 {
+		t.Fatalf("/bytes?n=8 at the largest MaxWords: %d %q", code, body)
 	}
 }

@@ -1008,11 +1008,11 @@ func (p *Pool) InjectFault(i int) error {
 		return fmt.Errorf("hybridprng: shard %d outside [0, %d)", i, len(p.shards))
 	}
 	s := p.shards[i]
-	if s.mon != nil {
-		s.mon.ForceTrip("fault injection")
-	}
+	// s.mon is replaced by reseedLocked under s.mu, so it is read (and
+	// tripped) only under the lock.
 	s.mu.Lock()
 	if s.mon != nil {
+		s.mon.ForceTrip("fault injection")
 		s.monTripped()
 	} else {
 		s.tripLocked(&bitsource.HealthError{Test: "forced", Detail: "fault injection"})
